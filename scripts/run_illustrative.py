@@ -31,7 +31,7 @@ def main():
 
     sig = qobt.parse_signal("0.2*exp(-t)")
     grid = np.arange(0.0, args.horizon + args.step / 2, args.step)
-    full = qobt.simulate(sys, wcf, sig, grid, method="expm")
+    full = qobt.simulate(sys, wcf, sig, grid)
 
     variants = {
         "mixed": qobt.balance_and_truncate(sys, wcf, grams, tol_sigma_rel=1e-8),
@@ -40,7 +40,7 @@ def main():
         ),
     }
     for name, rom in variants.items():
-        red = qobt.simulate(rom.system, rom.to_decomposition(), sig, grid, method="expm")
+        red = qobt.simulate(rom.system, rom.to_decomposition(), sig, grid)
         err = qobt.output_error(full, red)
         path = out / f"trajectory_{name}.csv"
         lines = ["# qobt-csv v1 trajectory", "t,y,yhat,abserr"]

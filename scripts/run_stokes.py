@@ -37,8 +37,8 @@ def main():
 
     sig = qobt.parse_signal("sin(t)^3*exp(-t/2)")
     grid = np.arange(0.0, args.horizon + args.step / 2, args.step)
-    full = qobt.simulate(sys, wcf, sig, grid, method="expm")
-    red = qobt.simulate(rom.system, rom.to_decomposition(), sig, grid, method="expm")
+    full = qobt.simulate(sys, wcf, sig, grid)
+    red = qobt.simulate(rom.system, rom.to_decomposition(), sig, grid)
     err = qobt.output_error(full, red)
     rep = qobt.error_bound(sys, wcf, rom, sig, horizon=args.horizon, grams=grams)
     lines = ["# qobt-csv v1 trajectory", "t,y,yhat,abserr,bound"]

@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import block_diag
 
 from .errors import InvalidGrid, InvalidParams
 from .model import DescriptorSystem, OutputSpec
@@ -344,8 +345,8 @@ def gen_random_wcf(
 
     W = transform(n)
     T = transform(n)
-    E = W @ _embed(np.eye(n_f), N) @ T
-    A = W @ _embed(J, np.eye(n_inf)) @ T
+    E = W @ block_diag(np.eye(n_f), N) @ T
+    A = W @ block_diag(J, np.eye(n_inf)) @ T
     B = rng.standard_normal((n, m))
     forms = []
     for _ in range(p):
@@ -355,11 +356,3 @@ def gen_random_wcf(
     sys = DescriptorSystem(E=E, A=A, B=B, output=OutputSpec(quadratic_forms=tuple(forms), C=C))
     truth = assemble_decomposition(W=W, T=T, J=J, N=N, sys=sys)
     return sys, truth
-
-
-def _embed(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    n1, n2 = X.shape[0], Y.shape[0]
-    out = np.zeros((n1 + n2, n1 + n2))
-    out[:n1, :n1] = X
-    out[n1:, n1:] = Y
-    return out

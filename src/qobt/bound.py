@@ -49,8 +49,8 @@ from .gramians import (
 )
 from .model import DescriptorSystem
 from .reduce import ReducedModel
-from .simulate import Signal, SignalNorms, require_smoothness, signal_norms
-from .spectral import WeierstrassDecomposition
+from .simulate import Signal, SignalNorms, signal_norms
+from .spectral import WeierstrassDecomposition, nilpotent_powers
 
 
 @dataclass(frozen=True)
@@ -67,12 +67,9 @@ def cross_gramians(
     sys: DescriptorSystem, wcf: WeierstrassDecomposition, rom: ReducedModel
 ) -> CrossGramians:
     """Solve the two-system projected equations coupling the model and its reduction."""
-    r_p, r_i, r = rom.r_p, rom.r_i, rom.r
-    A1 = rom.proper_block
-    E2 = rom.nilpotent_block
-    B1h = rom.system.B[:r_p]
-    B2h = rom.system.B[r_p:]
-    if r_p and float(np.max(np.linalg.eigvals(A1).real)) >= 0.0:
+    r_p, r = rom.r_p, rom.r
+    rom_wcf = rom.to_decomposition()
+    if not rom_wcf.stable:
         raise UnstableProperPart("reduced proper block is not stable")
 
     n = sys.n
@@ -80,50 +77,25 @@ def cross_gramians(
 
     Ptilde_p = np.zeros((n, r))
     if nf and r_p:
-        X = solve_sylvester_triangular(wcf.J, A1, wcf.B1 @ B1h.T)
+        X = solve_sylvester_triangular(wcf.J, rom_wcf.J, wcf.B1 @ rom_wcf.B1.T)
         Ptilde_p[:, :r_p] = wcf.Tinv[:, :nf] @ X
 
+    # N^k B2 and E2^k B2_hat, each run until its own terms vanish
+    NkB2 = nilpotent_powers(wcf.N, wcf.B2, wcf.nu)
+    EkB2 = nilpotent_powers(rom_wcf.N, rom_wcf.B2, rom_wcf.nu)
+
     Ptilde_i = np.zeros((n, r))
-    if wcf.n_inf and r_i:
-        nu_cap = min(wcf.nu, _nilpotency_index_of(E2))
-        X2 = np.zeros((wcf.n_inf, r_i))
-        NkB2 = wcf.B2.copy()
-        EkB2 = B2h.copy()
-        floor = 1e-2 * np.finfo(float).eps * max(
-            np.linalg.norm(NkB2) * np.linalg.norm(EkB2), 1e-300
-        )
-        for k in range(wcf.n_inf + 16):
-            if k >= nu_cap and np.linalg.norm(NkB2) * np.linalg.norm(EkB2) <= floor:
-                break
-            X2 += NkB2 @ EkB2.T
-            NkB2 = wcf.N @ NkB2
-            EkB2 = E2 @ EkB2
-        Ptilde_i[:, r_p:] = wcf.Tinv[:, nf:] @ X2
+    Ptilde_i[:, r_p:] = wcf.Tinv[:, nf:] @ sum(a @ b.T for a, b in zip(NkB2, EkB2))
 
     Phat_p = np.zeros((r, r))
     if r_p:
-        Phat_p[:r_p, :r_p] = _solve_small_lyapunov(A1, B1h @ B1h.T, transposed=False)
+        B1h = rom_wcf.B1
+        Phat_p[:r_p, :r_p] = _solve_small_lyapunov(rom_wcf.J, B1h @ B1h.T, transposed=False)
 
     Phat_i = np.zeros((r, r))
-    if r_i:
-        nu_hat = _nilpotency_index_of(E2)
-        acc = np.zeros((r_i, r_i))
-        EkB2 = B2h.copy()
-        floor = 1e-2 * np.finfo(float).eps * max(np.linalg.norm(EkB2) ** 2, 1e-300)
-        for k in range(r_i + 16):
-            if k >= nu_hat and np.linalg.norm(EkB2) ** 2 <= floor:
-                break
-            acc += EkB2 @ EkB2.T
-            EkB2 = E2 @ EkB2
-        Phat_i[r_p:, r_p:] = acc
+    Phat_i[r_p:, r_p:] = sum(b @ b.T for b in EkB2)
 
     return CrossGramians(Ptilde_p=Ptilde_p, Ptilde_i=Ptilde_i, Phat_p=Phat_p, Phat_i=Phat_i)
-
-
-def _nilpotency_index_of(E2: np.ndarray) -> int:
-    from .spectral import _nilpotency_index
-
-    return _nilpotency_index(E2)
 
 
 @dataclass(frozen=True)
@@ -195,7 +167,6 @@ def error_bound(
     grams: GramianSet | None = None,
 ) -> ErrorBoundReport:
     """Evaluate the a-priori output error bound for ``rom`` against ``sys``."""
-    require_smoothness(signal, wcf.nu)
     norms = signal_norms(signal, horizon, wcf.nu)
     cross = cross_gramians(sys, wcf, rom)
     if grams is not None:
@@ -278,12 +249,3 @@ def error_bound(
 def _sandwich(Ra: np.ndarray, M: np.ndarray, Mh: np.ndarray, Rb: np.ndarray, n: int) -> np.ndarray:
     """Ra^T diag(M, -Mh) Rb with the block product written out."""
     return Ra[:n].T @ (M @ Rb[:n]) - Ra[n:].T @ (Mh @ Rb[n:])
-
-
-def kernel_pp(sys, wcf, t1: float, t2: float) -> np.ndarray:
-    """Proper-proper output kernel B^T F_J(t1)^T M F_J(t2) B (test oracle support)."""
-    from .spectral import eval_FJ
-
-    F1 = eval_FJ(wcf, t1)
-    F2 = eval_FJ(wcf, t2)
-    return sys.B.T @ F1.T @ sys.output.quadratic_forms[0] @ F2 @ sys.B

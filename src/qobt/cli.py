@@ -39,7 +39,6 @@ from .errors import (
     NothingObservable,
     QobtError,
     SignalParseError,
-    SignalTooRough,
     SingularPencil,
     UnstableProperPart,
 )
@@ -49,7 +48,6 @@ _VALIDATION_ERRORS = (
     DimensionMismatch,
     SingularPencil,
     AsymmetricQuadraticForm,
-    SignalTooRough,
     InconsistentInitialState,
     GridMismatch,
 )
@@ -104,6 +102,11 @@ def _write_hsv(path: Path, sigma: np.ndarray, theta: np.ndarray) -> None:
 
 
 def cmd_reduce(args) -> int:
+    if args.order is not None and args.order < 0:
+        raise InvalidParams(f"--order must be >= 0, got {args.order}")
+    for flag, value in (("--tol", args.tol), ("--theta-tol", args.theta_tol)):
+        if not 0.0 <= value < np.inf:
+            raise InvalidParams(f"{flag} must be finite and >= 0, got {value}")
     system, _ = _load(args)
     wcf = spectral.separate(system)
     grams = gramians.compute_gramians(system, wcf)
@@ -129,24 +132,30 @@ def cmd_reduce(args) -> int:
     return 0
 
 
+def _positive(flag: str, value: float) -> float:
+    if not 0.0 < value < np.inf:
+        raise InvalidGrid(f"{flag} must be finite and > 0, got {value}")
+    return value
+
+
 def _uniform_grid(horizon: float, step: float) -> np.ndarray:
-    count = int(round(horizon / step))
+    count = int(round(_positive("--horizon", horizon) / _positive("--step", step)))
+    if count < 1:
+        raise InvalidGrid(f"--horizon {horizon} is shorter than one --step {step}")
     return np.linspace(0.0, count * step, count + 1)
 
 
 def cmd_simulate(args) -> int:
+    grid = _uniform_grid(args.horizon, args.step)
     system, _ = _load(args)
     wcf = spectral.separate(system)
     signal = parse_signal(args.signal)
-    grid = _uniform_grid(args.horizon, args.step)
-    traj = simulate(system, wcf, signal, grid, method=args.method)
+    traj = simulate(system, wcf, signal, grid)
     columns = ["t"] + [f"y{j + 1}" for j in range(system.p)]
     data = [grid] + [traj.y[:, j] for j in range(system.p)]
     if args.rom:
         rom = reduce.load_reduced(args.rom)
-        rom_traj = simulate(
-            rom.system, rom.to_decomposition(), signal, grid, method=args.method
-        )
+        rom_traj = simulate(rom.system, rom.to_decomposition(), signal, grid)
         err = output_error(traj, rom_traj)
         columns += [f"yhat{j + 1}" for j in range(system.p)] + ["abserr"]
         data += [rom_traj.y[:, j] for j in range(system.p)] + [err.pointwise]
@@ -160,6 +169,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_bound(args) -> int:
+    _positive("--horizon", args.horizon)
     system, _ = _load(args)
     wcf = spectral.separate(system)
     rom = reduce.load_reduced(args.rom)
@@ -286,8 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--rom", default=None, help="reduced-model manifest to compare")
     s.add_argument("--signal", required=True)
     s.add_argument("--horizon", type=float, required=True)
-    s.add_argument("--step", type=float, required=True)
-    s.add_argument("--method", choices=["rk4", "expm"], default="rk4")
+    s.add_argument("--step", type=float, required=True, help="output grid spacing")
     s.add_argument("--out", required=True)
     s.set_defaults(func=cmd_simulate)
 

@@ -25,10 +25,6 @@ class SignalParseError(QobtError):
     """An input-signal expression is outside the differentiable grammar."""
 
 
-class SignalTooRough(QobtError):
-    """The input signal cannot supply the derivatives the system index needs."""
-
-
 class UnstableProperPart(QobtError):
     """The finite spectrum has an eigenvalue with nonnegative real part."""
 

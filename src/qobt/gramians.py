@@ -32,7 +32,7 @@ from scipy.linalg import get_lapack_funcs, schur
 
 from .errors import IndefiniteMatrix, UnstableProperPart
 from .model import DescriptorSystem
-from .spectral import WeierstrassDecomposition
+from .spectral import WeierstrassDecomposition, nilpotent_powers
 
 # Default relative eigenvalue cutoff in psd_factor: keep essentially
 # everything, truncation decisions belong to the reduction step.
@@ -100,13 +100,6 @@ def solve_sylvester_triangular(J: np.ndarray, Ahat: np.ndarray, C: np.ndarray) -
     return X @ UA.T
 
 
-def _require_stable(wcf: WeierstrassDecomposition) -> None:
-    if wcf.n_f and float(np.max(wcf.finite_eigenvalues.real)) >= 0.0:
-        raise UnstableProperPart(
-            f"finite spectrum reaches Re >= 0 (max {np.max(wcf.finite_eigenvalues.real):.3e})"
-        )
-
-
 def solve_proper_lyap(
     wcf: WeierstrassDecomposition, side: str, rhs: np.ndarray
 ) -> np.ndarray:
@@ -115,7 +108,8 @@ def solve_proper_lyap(
     side='controllability':  E X A^T + A X E^T = -P_l rhs P_l^T,  X = P_r X P_r^T
     side='observability':    E^T X A + A^T X E = -P_r^T rhs P_r,  X = P_l^T X P_l
     """
-    _require_stable(wcf)
+    if not wcf.stable:
+        raise UnstableProperPart("finite spectrum reaches Re >= 0")
     nf = wcf.n_f
     n = wcf.n
     if nf == 0:
@@ -133,31 +127,14 @@ def solve_proper_lyap(
     return 0.5 * (X + X.T)
 
 
-def _stein_sum(N: np.ndarray, G: np.ndarray, nu: int, transposed: bool) -> np.ndarray:
-    """sum_k op(N)^k G op(N)^T^k, run past nu until the terms vanish.
-
-    N is nilpotent only up to classification junk, so the series is
-    continued (it contracts at the junk magnitude) instead of being cut
-    at nu; for an exactly nilpotent N it terminates there on its own.
-    """
-    X = G.copy()
-    term = G
-    floor = 1e-2 * np.finfo(float).eps * max(np.linalg.norm(G), 1e-300)
-    for k in range(1, N.shape[0] + 16):
-        term = N.T @ term @ N if transposed else N @ term @ N.T
-        if k >= nu and np.linalg.norm(term) <= floor:
-            break
-        X += term
-    return X
-
-
 def solve_improper_stein(
     wcf: WeierstrassDecomposition, side: str, rhs: np.ndarray
 ) -> np.ndarray:
     """Projected discrete-time solve on the infinite subspace.
 
-    The Neumann sum terminates because N is (numerically) nilpotent, so
-    the solution is an explicit sum; it exists for any rhs.
+    The Neumann sum sum_k op(N)^k G op(N)^T^k terminates because N is
+    (numerically) nilpotent, so the solution is an explicit sum; it exists
+    for any rhs.
 
     side='controllability':  A X A^T - E X E^T = (I-P_l) rhs (I-P_l)^T,  P_r X P_r^T = 0
     side='observability':    A^T X A - E^T X E = (I-P_r^T) rhs (I-P_r),  P_l^T X P_l = 0
@@ -168,14 +145,14 @@ def solve_improper_stein(
         return np.zeros((n, n))
     if side == "controllability":
         G = (wcf.Winv @ rhs @ wcf.Winv.T)[nf:, nf:]
-        X2 = _stein_sum(wcf.N, G, wcf.nu, transposed=False)
-        X = wcf.Tinv[:, nf:] @ X2 @ wcf.Tinv[:, nf:].T
+        N, V = wcf.N, wcf.Tinv[:, nf:]
     elif side == "observability":
         G = (wcf.Tinv.T @ rhs @ wcf.Tinv)[nf:, nf:]
-        X2 = _stein_sum(wcf.N, G, wcf.nu, transposed=True)
-        X = wcf.Winv[nf:, :].T @ X2 @ wcf.Winv[nf:, :]
+        N, V = wcf.N.T, wcf.Winv[nf:, :].T
     else:
         raise ValueError(f"unknown side {side!r}")
+    X2 = sum(Nk @ G @ Nk.T for Nk in nilpotent_powers(N, np.eye(ninf), wcf.nu))
+    X = V @ X2 @ V.T
     return 0.5 * (X + X.T)
 
 

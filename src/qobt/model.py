@@ -212,7 +212,7 @@ def validate(sys: DescriptorSystem, check_stability: bool = False) -> Validation
         from .spectral import separate
 
         wcf = separate(sys)
-        stable = bool(wcf.n_f == 0 or np.max(wcf.finite_eigenvalues.real) < 0.0)
+        stable = wcf.stable
         if not stable:
             messages.append("finite spectrum reaches the closed right half-plane")
 

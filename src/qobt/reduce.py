@@ -13,10 +13,11 @@ improper part keeps its minimal realization).  The projection matrices
     W_r = [S_p U_p1 Sigma_1^-1/2,  S_i U_i1 Theta_1^-1/2]
     T_r = [R_p V_p1 Sigma_1^-1/2,  R_i V_i1 Theta_1^-1/2]
 
-yield a reduced model that is again block-decoupled,
+project onto an r x r pencil whose off-blocks vanish only up to the
+subspace noise of the truncated directions.  That small pencil is
+separated once more and returned in the canonical block form
 E_hat = diag(I, E2) with nilpotent E2 and A_hat = diag(A1, I) with
-stable A1; the off-blocks vanish up to roundoff and are cleaned when
-they are small enough.
+stable A1, the transforms folded into W_r and T_r.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import block_diag
 
 from .errors import NothingObservable
 from .gramians import GramianSet, psd_factor
@@ -35,8 +37,6 @@ from .spectral import WeierstrassDecomposition, assemble_decomposition, separate
 TIE_TOL = 1e-12
 # Default relative threshold for "zero" improper Hankel values.
 THETA_ZERO_TOL = 1e-12
-# Allowed relative off-block mass before cleanup is refused.
-STRUCTURE_TOL = 1e-8
 # Balancing factors keep all positive eigenvalue mass: order selection
 # happens on the Hankel values, and the reported spectrum should reach
 # the roundoff floor rather than stop at a factoring cutoff.
@@ -114,7 +114,6 @@ class ReducedModel:
     sigma_dropped: np.ndarray
     theta_kept: np.ndarray
     theta_dropped: np.ndarray
-    structure_cleaned: bool
     warnings: tuple[str, ...]
 
     @property
@@ -167,9 +166,13 @@ def balance_and_truncate(
     (keep the r largest) selects the proper order.
     """
     if order is not None:
+        if order < 0:
+            raise ValueError(f"order must be >= 0, got {order}")
         tol_sigma_rel = None
     elif tol_sigma_rel is None:
         raise ValueError("need either tol_sigma_rel or order")
+    elif not 0.0 <= tol_sigma_rel < np.inf:
+        raise ValueError(f"tol_sigma_rel must be finite and >= 0, got {tol_sigma_rel}")
     svds = _balanced_svds(sys, grams)
     sigma, theta = svds.sigma, svds.theta
 
@@ -197,81 +200,52 @@ def balance_and_truncate(
     forms = tuple(0.5 * ((M := T_r.T @ Mj @ T_r) + M.T) for Mj in sys.output.quadratic_forms)
     Ch = sys.output.C @ T_r if sys.output.C is not None else None
 
+    # The projected pencil is block-diagonal only up to the subspace noise
+    # of the truncated directions.  It is small, so decouple it exactly and
+    # fold the transforms into the projection matrices; the input-output
+    # map changes only at the separation residual.
+    raw = DescriptorSystem(E=Eh, A=Ah, B=Bh, output=OutputSpec(quadratic_forms=forms, C=Ch))
+    sub = separate(raw)
     warnings: list[str] = []
-    Eh, Ah, cleaned = _clean_blocks(Eh, Ah, r_p, r_i, warnings)
-    if not cleaned:
-        # Deeply truncated directions can carry enough subspace noise that
-        # the projected matrices are not block-diagonal to within the
-        # tolerance.  The raw reduced pencil is small, so decouple it
-        # exactly and fold the transforms into the projection matrices;
-        # the input-output map changes only at the separation residual.
-        raw = DescriptorSystem(
-            E=Eh, A=Ah, B=Bh, output=OutputSpec(quadratic_forms=forms, C=Ch)
+    if (sub.n_f, sub.n_inf) != (r_p, r_i):
+        warnings.append(
+            f"re-decoupling changed the split ({r_p},{r_i}) -> ({sub.n_f},{sub.n_inf})"
         )
-        sub = separate(raw)
-        if (sub.n_f, sub.n_inf) != (r_p, r_i):
-            warnings.append(
-                f"re-decoupling changed the split ({r_p},{r_i}) -> ({sub.n_f},{sub.n_inf})"
-            )
-            r_p, r_i = sub.n_f, sub.n_inf
-        r = r_p + r_i
-        Eh = np.zeros((r, r))
-        Eh[:r_p, :r_p] = np.eye(r_p)
-        Eh[r_p:, r_p:] = sub.N
-        Ah = np.zeros((r, r))
-        Ah[:r_p, :r_p] = sub.J
-        Ah[r_p:, r_p:] = np.eye(r_i)
-        Bh = np.vstack([sub.B1, sub.B2])
-        forms = tuple(
-            0.5 * ((Mb := sub.Tinv.T @ M @ sub.Tinv) + Mb.T)
-            for M in raw.output.quadratic_forms
-        )
-        Ch = Ch @ sub.Tinv if Ch is not None else None
-        W_r = W_r @ sub.Winv.T
-        T_r = T_r @ sub.Tinv
-        warnings.append("projected matrices re-decoupled into canonical block form")
-        cleaned = True
-
-    A1 = Ah[:r_p, :r_p]
-    if r_p and float(np.max(np.linalg.eigvals(A1).real)) >= 0.0:
+        r_p, r_i = sub.n_f, sub.n_inf
+    if not sub.stable:
         warnings.append("reduced proper block acquired a nonnegative eigenvalue")
 
-    rom_sys = DescriptorSystem(E=Eh, A=Ah, B=Bh, output=OutputSpec(quadratic_forms=forms, C=Ch))
     return ReducedModel(
-        system=rom_sys,
+        system=_canonical_system(raw, sub),
         r_p=r_p,
         r_i=r_i,
-        W_r=W_r,
-        T_r=T_r,
+        W_r=W_r @ sub.Winv.T,
+        T_r=T_r @ sub.Tinv,
         sigma=sigma,
         theta=theta,
         sigma_kept=sigma[:r_p].copy(),
         sigma_dropped=sigma[r_p:].copy(),
         theta_kept=theta[:r_i].copy(),
         theta_dropped=theta[r_i:].copy(),
-        structure_cleaned=cleaned,
         warnings=tuple(warnings),
     )
 
 
-def _clean_blocks(Eh, Ah, r_p, r_i, warnings) -> tuple[np.ndarray, np.ndarray, bool]:
-    """Enforce E = diag(I, E2), A = diag(A1, I) when the deviation is roundoff-level."""
-    r = r_p + r_i
-    E_clean = np.zeros((r, r))
-    E_clean[:r_p, :r_p] = np.eye(r_p)
-    E_clean[r_p:, r_p:] = Eh[r_p:, r_p:]
-    A_clean = np.zeros((r, r))
-    A_clean[:r_p, :r_p] = Ah[:r_p, :r_p]
-    A_clean[r_p:, r_p:] = np.eye(r_i)
-    dev_e = np.linalg.norm(Eh - E_clean) / max(1.0, np.linalg.norm(Eh))
-    dev_a = np.linalg.norm(Ah - A_clean) / max(1.0, np.linalg.norm(Ah))
-    if max(dev_e, dev_a) <= STRUCTURE_TOL:
-        return E_clean, A_clean, True
-    warnings.append(
-        f"block-structure deviation above {STRUCTURE_TOL:.0e} "
-        f"(E: {dev_e:.2e}, A: {dev_a:.2e}); returning raw projected matrices"
+def _canonical_system(sys: DescriptorSystem, wcf: WeierstrassDecomposition) -> DescriptorSystem:
+    """``sys`` in the coordinates of its separation ``wcf``.
+
+    E = diag(I, N), A = diag(J, I), B = [B1; B2], M_j -> sym(T^-T M_j T^-1)
+    and C -> C T^-1: the same input-output map, block-decoupled exactly.
+    """
+    E = block_diag(np.eye(wcf.n_f), wcf.N)
+    A = block_diag(wcf.J, np.eye(wcf.n_inf))
+    B = np.vstack([wcf.B1, wcf.B2])
+    forms = tuple(
+        0.5 * ((Mb := wcf.Tinv.T @ M @ wcf.Tinv) + Mb.T)
+        for M in sys.output.quadratic_forms
     )
-    return Eh, Ah, False
+    C = sys.output.C @ wcf.Tinv if sys.output.C is not None else None
+    return DescriptorSystem(E=E, A=A, B=B, output=OutputSpec(quadratic_forms=forms, C=C))
 
 
 def identity_reduction(sys: DescriptorSystem, wcf: WeierstrassDecomposition) -> ReducedModel:
@@ -280,25 +254,11 @@ def identity_reduction(sys: DescriptorSystem, wcf: WeierstrassDecomposition) -> 
     Useful as the exact-reduction reference: every Hankel value is kept,
     so error measures and bounds against it must vanish.
     """
-    nf, ninf = wcf.n_f, wcf.n_inf
-    E = np.zeros((wcf.n, wcf.n))
-    E[:nf, :nf] = np.eye(nf)
-    E[nf:, nf:] = wcf.N
-    A = np.zeros((wcf.n, wcf.n))
-    A[:nf, :nf] = wcf.J
-    A[nf:, nf:] = np.eye(ninf)
-    B = np.vstack([wcf.B1, wcf.B2])
-    forms = tuple(
-        0.5 * ((Mb := wcf.Tinv.T @ M @ wcf.Tinv) + Mb.T)
-        for M in sys.output.quadratic_forms
-    )
-    C = sys.output.C @ wcf.Tinv if sys.output.C is not None else None
-    rom_sys = DescriptorSystem(E=E, A=A, B=B, output=OutputSpec(quadratic_forms=forms, C=C))
     empty = np.zeros(0)
     return ReducedModel(
-        system=rom_sys,
-        r_p=nf,
-        r_i=ninf,
+        system=_canonical_system(sys, wcf),
+        r_p=wcf.n_f,
+        r_i=wcf.n_inf,
         W_r=wcf.Winv.T,
         T_r=wcf.Tinv,
         sigma=empty,
@@ -307,7 +267,6 @@ def identity_reduction(sys: DescriptorSystem, wcf: WeierstrassDecomposition) -> 
         sigma_dropped=empty,
         theta_kept=empty,
         theta_dropped=empty,
-        structure_cleaned=True,
         warnings=(),
     )
 
@@ -331,7 +290,6 @@ def save_reduced(rom: ReducedModel, directory) -> SystemManifest:
         "reduced": "1",
         "r_p": str(rom.r_p),
         "r_i": str(rom.r_i),
-        "structure_cleaned": str(int(rom.structure_cleaned)),
         "sigma_kept": _join(rom.sigma_kept),
         "sigma_dropped": _join(rom.sigma_dropped),
         "theta_kept": _join(rom.theta_kept),
@@ -368,6 +326,5 @@ def load_reduced(manifest_path) -> ReducedModel:
         sigma_dropped=sigma_dropped,
         theta_kept=theta_kept,
         theta_dropped=theta_dropped,
-        structure_cleaned=bool(int(man.extras.get("structure_cleaned", "1"))),
         warnings=(),
     )

@@ -6,15 +6,13 @@ closed under differentiation, so the improper state
     x2(t) = - sum_{k<nu} N^k B2 u^(k)(t)
 
 is evaluated in closed form with analytic derivatives, and consistency of
-the initial state is automatic.  The proper state integrates
+the initial state is automatic.  The proper state solves
 
     x1' = J x1 + B1 u,  x1(0) = 0,
 
-either with a classical fixed-step 4th-order Runge-Kutta scheme (default)
-or by exact stepping: the signal satisfies a small linear ODE, so the
+by exact stepping: the signal satisfies a small linear ODE, so the
 augmented system [x1; phi]' = [[J, B1*Cu],[0, S]] [x1; phi] is propagated
-with a single matrix exponential per step size ("expm" mode, used for
-oracle-grade runs).
+with one matrix exponential of the grid step.
 
 The signal mini-language accepted by :func:`parse_signal` covers exactly
 this family, e.g. ``0.2*exp(-t)``, ``sin(t)^3*exp(-t/2)``,
@@ -36,10 +34,10 @@ from .errors import (
     GridMismatch,
     InconsistentInitialState,
     SignalParseError,
-    SignalTooRough,
+    UnstableProperPart,
 )
 from .model import DescriptorSystem
-from .spectral import WeierstrassDecomposition
+from .spectral import WeierstrassDecomposition, nilpotent_powers
 
 
 @dataclass(frozen=True)
@@ -335,18 +333,12 @@ class Trajectory:
     x: np.ndarray | None = None        # (n, len(t)) when states are stored
 
 
-def _norm2_est(J: np.ndarray) -> float:
-    if J.size == 0:
-        return 0.0
-    return float(np.sqrt(np.linalg.norm(J, 1) * np.linalg.norm(J, np.inf)))
-
-
 def _grid_step(grid: np.ndarray) -> float:
     dt = np.diff(grid)
     if grid.size < 2 or dt.min() <= 0:
         raise ValueError("grid must be strictly increasing with at least two points")
     if dt.max() - dt.min() > 1e-9 * dt.max():
-        raise ValueError("integrators require a uniform grid")
+        raise ValueError("simulate requires a uniform grid")
     return float(dt.mean())
 
 
@@ -378,36 +370,7 @@ def _companion(signal: Signal):
     return S, Cu, phi0
 
 
-def _integrate_proper_rk4(J, B1, signal, grid, step):
-    nf = J.shape[0]
-    X = np.zeros((nf, grid.size))
-    if nf == 0:
-        return X
-    dt = _grid_step(grid)
-    h_default = min(1e-3, 0.1 / max(_norm2_est(J), 1e-12))
-    h = step if step is not None else h_default
-    nsub = max(1, int(np.ceil(dt / h - 1e-12)))
-    hs = dt / nsub
-    # all evaluation times, precomputed in one vectorized call
-    t_all = grid[0] + hs * np.arange((grid.size - 1) * nsub + 1)
-    U0 = signal.value(t_all)
-    U_half = signal.value(t_all[:-1] + hs / 2)
-    x = np.zeros(nf)
-    idx = 0
-    for i in range(grid.size - 1):
-        for _ in range(nsub):
-            u0, uh, u1 = U0[idx], U_half[idx], U0[idx + 1]
-            k1 = J @ x + B1 @ u0
-            k2 = J @ (x + 0.5 * hs * k1) + B1 @ uh
-            k3 = J @ (x + 0.5 * hs * k2) + B1 @ uh
-            k4 = J @ (x + hs * k3) + B1 @ u1
-            x = x + (hs / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-            idx += 1
-        X[:, i + 1] = x
-    return X
-
-
-def _integrate_proper_expm(J, B1, signal, grid):
+def _integrate_proper(J, B1, signal, grid):
     nf = J.shape[0]
     X = np.zeros((nf, grid.size))
     if nf == 0:
@@ -432,8 +395,6 @@ def simulate(
     wcf: WeierstrassDecomposition,
     signal: Signal,
     grid: np.ndarray,
-    method: str = "rk4",
-    step: float | None = None,
     store_states: bool = False,
     x0: np.ndarray | None = None,
 ) -> Trajectory:
@@ -446,25 +407,16 @@ def simulate(
     grid = np.asarray(grid, dtype=float)
     if signal.m != sys.m:
         raise SignalParseError(f"signal has {signal.m} channels, system expects {sys.m}")
-    if wcf.n_f and float(np.max(wcf.finite_eigenvalues.real)) >= 0.0:
-        from .errors import UnstableProperPart
-
+    if not wcf.stable:
         raise UnstableProperPart("cannot simulate: finite spectrum not stable")
-    nu = wcf.nu
     nf = wcf.n_f
 
-    # improper state from the derivative sum; the loop runs past nu while
-    # classification junk in N still carries mass (no-op for exact N)
+    # improper state from the derivative sum; the k-th derivative grows
+    # like max_rate^k, which weighs where the sum may stop
     X2 = np.zeros((wcf.n_inf, grid.size))
-    if wcf.n_inf:
-        rate = max(signal.max_rate, 1.0)
-        b_scale = max(np.linalg.norm(wcf.B2), 1e-300)
-        NkB2 = wcf.B2.copy()
-        for k in range(wcf.n_inf + 16):
-            if k >= nu and np.linalg.norm(NkB2) * rate**k <= 1e-2 * np.finfo(float).eps * b_scale * rate**nu:
-                break
-            X2 -= NkB2 @ signal.derivative(k).value(grid).T
-            NkB2 = wcf.N @ NkB2
+    rate = max(signal.max_rate, 1.0)
+    for k, NkB2 in enumerate(nilpotent_powers(wcf.N, wcf.B2, wcf.nu, growth=rate)):
+        X2 -= NkB2 @ signal.derivative(k).value(grid).T
 
     if x0 is not None:
         x_cons = wcf.Tinv[:, nf:] @ X2[:, 0]
@@ -475,13 +427,7 @@ def simulate(
                 "(zero proper part plus the derivative sum)"
             )
 
-    if method == "rk4":
-        X1 = _integrate_proper_rk4(wcf.J, wcf.B1, signal, grid, step)
-    elif method == "expm":
-        X1 = _integrate_proper_expm(wcf.J, wcf.B1, signal, grid)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-
+    X1 = _integrate_proper(wcf.J, wcf.B1, signal, grid)
     x = wcf.Tinv[:, :nf] @ X1 + wcf.Tinv[:, nf:] @ X2
     p = sys.p
     y = np.zeros((grid.size, p))
@@ -507,10 +453,3 @@ def output_error(full: Trajectory, reduced: Trajectory) -> OutputError:
     pointwise = diff.max(axis=1)
     l2 = float(np.sqrt(np.trapezoid(pointwise**2, full.t)))
     return OutputError(pointwise=pointwise, linf=float(pointwise.max()), l2=l2)
-
-
-def require_smoothness(signal: Signal, nu: int) -> None:
-    """Raise when a signal cannot provide the nu-1 derivatives the index needs."""
-    max_order = getattr(signal, "max_derivative_order", None)
-    if max_order is not None and max_order < nu - 1:
-        raise SignalTooRough(f"signal supplies {max_order} derivatives, index needs {nu - 1}")

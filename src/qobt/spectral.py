@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import expm, get_lapack_funcs, ordqz, solve_triangular
+from scipy.linalg import block_diag, expm, get_lapack_funcs, ordqz, solve_triangular
 
 from .errors import SingularPencil
 from .model import DescriptorSystem
@@ -110,6 +110,28 @@ def _nilpotency_index(N: np.ndarray, drop_tol: float | None = None) -> int:
     return n
 
 
+def nilpotent_powers(
+    N: np.ndarray, X: np.ndarray, nu: int, growth: float = 1.0
+) -> list[np.ndarray]:
+    """The terms [X, N X, N^2 X, ...] of a terminating nilpotent sum.
+
+    Every power below ``nu`` is kept.  N is nilpotent only up to the junk
+    the classification left behind, so the list then continues while
+    growth^k ||N^k X|| > 1e-2 eps ||X||; an exactly nilpotent N stops at
+    ``nu`` on its own.  ``growth`` weighs the k-th term by the size of
+    what later multiplies it (for example the k-th input derivative).
+    At most size + 16 terms are returned.
+    """
+    floor = 1e-2 * np.finfo(float).eps * np.linalg.norm(X)
+    terms = [X]
+    for k in range(1, N.shape[0] + 16):
+        term = N @ terms[-1]
+        if k >= nu and growth**k * np.linalg.norm(term) <= floor:
+            break
+        terms.append(term)
+    return terms
+
+
 def assemble_decomposition(
     W: np.ndarray,
     T: np.ndarray,
@@ -131,8 +153,8 @@ def assemble_decomposition(
         finite_eigenvalues = np.linalg.eigvals(J) if n_f else np.zeros(0, dtype=complex)
     Bw = Winv @ sys.B
     Mb = [Tinv.T @ M @ Tinv for M in sys.output.quadratic_forms]
-    E_rec = W @ _blockdiag(np.eye(n_f), N) @ T
-    A_rec = W @ _blockdiag(J, np.eye(n_inf)) @ T
+    E_rec = W @ block_diag(np.eye(n_f), N) @ T
+    A_rec = W @ block_diag(J, np.eye(n_inf)) @ T
     resid_E = np.linalg.norm(E_rec - sys.E) / (np.linalg.norm(sys.E) + 1.0)
     resid_A = np.linalg.norm(A_rec - sys.A) / (np.linalg.norm(sys.A) + 1.0)
     cond_W = float(np.linalg.cond(W))
@@ -164,14 +186,6 @@ def assemble_decomposition(
         cond_T=cond_T,
         warnings=tuple(warn),
     )
-
-
-def _blockdiag(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    n1, n2 = X.shape[0], Y.shape[0]
-    out = np.zeros((n1 + n2, n1 + n2))
-    out[:n1, :n1] = X
-    out[n1:, n1:] = Y
-    return out
 
 
 def separate(sys: DescriptorSystem, tol_infinite: float | None = None) -> WeierstrassDecomposition:

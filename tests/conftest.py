@@ -50,6 +50,13 @@ def oracle_observability(sys, wcf: WeierstrassDecomposition, P_p, P_i):
     return Q_pp, Q_ip, Q_pi, Q_ii
 
 
+def kernel_pp(sys, wcf: WeierstrassDecomposition, t1: float, t2: float) -> np.ndarray:
+    """Proper-proper output kernel B^T F_J(t1)^T M F_J(t2) B."""
+    F1 = eval_FJ(wcf, t1)
+    F2 = eval_FJ(wcf, t2)
+    return sys.B.T @ F1.T @ sys.output.quadratic_forms[0] @ F2 @ sys.B
+
+
 def rel_err(X, X_ref, floor):
     """Relative error with an absolute floor for near-zero references."""
     return np.linalg.norm(X - X_ref) / max(np.linalg.norm(X_ref), floor)

@@ -80,14 +80,14 @@ def test_criterion_3_mixed_gramian_ablation():
     grams = compute_gramians(sys, wcf)
     sig = parse_signal("0.2*exp(-t)")
     grid = np.linspace(0.0, 10.0, 1001)
-    full = simulate(sys, wcf, sig, grid, method="expm")
+    full = simulate(sys, wcf, sig, grid)
     scale = float(np.abs(full.y).max())
 
     rom = balance_and_truncate(sys, wcf, grams, tol_sigma_rel=1e-8)
-    err = output_error(full, simulate(rom.system, rom.to_decomposition(), sig, grid, method="expm"))
+    err = output_error(full, simulate(rom.system, rom.to_decomposition(), sig, grid))
     ablated = qobt.ablate_mixed_gramians(grams)
     rom_ab = balance_and_truncate(sys, wcf, ablated, tol_sigma_rel=1e-8)
-    err_ab = output_error(full, simulate(rom_ab.system, rom_ab.to_decomposition(), sig, grid, method="expm"))
+    err_ab = output_error(full, simulate(rom_ab.system, rom_ab.to_decomposition(), sig, grid))
 
     if err.linf > 1e-8 * scale:
         violations.append(f"full-method error {err.linf:.2e} > 1e-8 * max|y| = {1e-8 * scale:.2e}")
@@ -155,8 +155,8 @@ def test_criterion_5_mechanical_benchmark():
         )
     sig = parse_signal("sin(2*t)^2*exp(-t/2)")
     grid = np.linspace(0.0, 10.0, 1001)
-    full = simulate(sys, wcf, sig, grid, method="expm")
-    red = simulate(rom.system, rom.to_decomposition(), sig, grid, method="expm")
+    full = simulate(sys, wcf, sig, grid)
+    red = simulate(rom.system, rom.to_decomposition(), sig, grid)
     err = output_error(full, red)
     if err.linf > 1e-8:
         violations.append(f"output error {err.linf:.2e} > 1e-8")
@@ -190,8 +190,8 @@ def test_criterion_6_stokes_benchmark():
     rom = balance_and_truncate(sys, wcf, grams, tol_sigma_rel=1e-8)
     sig = parse_signal("sin(t)^3*exp(-t/2)")
     grid = np.linspace(0.0, 30.0, 3001)
-    full = simulate(sys, wcf, sig, grid, method="expm")
-    red = simulate(rom.system, rom.to_decomposition(), sig, grid, method="expm")
+    full = simulate(sys, wcf, sig, grid)
+    red = simulate(rom.system, rom.to_decomposition(), sig, grid)
     err = output_error(full, red)
     rep = qobt.error_bound(sys, wcf, rom, sig, horizon=30.0, grams=grams)
     if not np.all(err.pointwise <= rep.bound_total):
@@ -224,10 +224,10 @@ def test_criterion_7_bound_soundness_sweep():
         roms = [balance_and_truncate(sys, wcf, grams, tol_sigma_rel=tol) for tol in (1e-2, 0.0)]
         for sig_text in signals:
             sig = parse_signal(sig_text)
-            full = simulate(sys, wcf, sig, grid, method="expm")
+            full = simulate(sys, wcf, sig, grid)
             scale = max(np.abs(full.y).max(), 1e-30)
             for rom, tol in zip(roms, ("1e-2", "0")):
-                red = simulate(rom.system, rom.to_decomposition(), sig, grid, method="expm")
+                red = simulate(rom.system, rom.to_decomposition(), sig, grid)
                 err = output_error(full, red)
                 rep = qobt.error_bound(sys, wcf, rom, sig, horizon=horizon, grams=grams)
                 combos += 1

@@ -3,12 +3,11 @@ import pytest
 from scipy.integrate import dblquad
 
 import qobt
-from conftest import quad_gramian
-from qobt.bound import cross_gramians, error_bound, kernel_pp
-from qobt.errors import SignalTooRough
+from conftest import kernel_pp, quad_gramian
+from qobt.bound import cross_gramians, error_bound
 from qobt.gramians import compute_gramians
 from qobt.reduce import balance_and_truncate, identity_reduction
-from qobt.simulate import parse_signal, require_smoothness, simulate, output_error
+from qobt.simulate import parse_signal, simulate, output_error
 from qobt.spectral import eval_FJ, projectors, separate
 
 
@@ -112,8 +111,8 @@ def test_bound_soundness(seed, shape):
     rom = balance_and_truncate(sys, wcf, grams, tol_sigma_rel=1e-3)
     sig = parse_signal("sin(t)*exp(-t/2)")
     grid = np.linspace(0.0, 20.0, 2001)
-    full = simulate(sys, wcf, sig, grid, method="expm")
-    red = simulate(rom.system, rom.to_decomposition(), sig, grid, method="expm")
+    full = simulate(sys, wcf, sig, grid)
+    red = simulate(rom.system, rom.to_decomposition(), sig, grid)
     err = output_error(full, red)
     rep = error_bound(sys, wcf, rom, sig, horizon=20.0, grams=grams)
     slack = 1e-9 * max(np.abs(full.y).max(), 1e-30)
@@ -144,21 +143,13 @@ def test_multi_output_bound_soundness():
     rom = balance_and_truncate(sys, wcf, grams, tol_sigma_rel=1e-3)
     sig = parse_signal("sin(t)*exp(-t/2)")
     grid = np.linspace(0.0, 20.0, 2001)
-    full = simulate(sys, wcf, sig, grid, method="expm")
-    red = simulate(rom.system, rom.to_decomposition(), sig, grid, method="expm")
+    full = simulate(sys, wcf, sig, grid)
+    red = simulate(rom.system, rom.to_decomposition(), sig, grid)
     err = output_error(full, red)
     rep = error_bound(sys, wcf, rom, sig, horizon=20.0, grams=grams)
     assert rep.linear_T_p is not None
     slack = 1e-9 * max(np.abs(full.y).max(), 1e-30)
     assert err.linf <= rep.bound_total + slack
-
-
-def test_smoothness_guard():
-    class Stub:
-        max_derivative_order = 0
-
-    with pytest.raises(SignalTooRough):
-        require_smoothness(Stub(), nu=3)
 
 
 def test_report_serialization(illustrative):

@@ -121,3 +121,36 @@ def test_generate_stokes_and_order_flag(tmp_path):
 
     rom = load_reduced(tmp_path / "r/system.manifest")
     assert rom.r_p == 3
+
+
+@pytest.mark.parametrize(
+    "command,flags",
+    [
+        ("simulate", ["--step", 0]),
+        ("simulate", ["--step", -0.1]),
+        ("simulate", ["--step", "nan"]),
+        ("simulate", ["--horizon", 0]),
+        ("simulate", ["--horizon", 0.001]),
+        ("bound", ["--horizon", 0]),
+        ("bound", ["--horizon", "inf"]),
+        ("reduce", ["--order", -1]),
+        ("reduce", ["--tol", "nan"]),
+        ("reduce", ["--tol=-1e-8"]),
+        ("reduce", ["--theta-tol", "nan"]),
+    ],
+)
+def test_bad_numeric_flags_exit_3(workspace, tmp_path, capsys, command, flags):
+    manifest = workspace / "sys/system.manifest"
+    rom = workspace / "rom/system.manifest"
+    base = {
+        "simulate": ["--manifest", manifest, "--rom", rom, "--signal", "0.2*exp(-t)",
+                     "--horizon", 10, "--step", 0.01, "--out", tmp_path / "y.csv"],
+        "bound": ["--manifest", manifest, "--rom", rom, "--signal", "0.2*exp(-t)",
+                  "--horizon", 10],
+        "reduce": ["--manifest", manifest, "--out", tmp_path / "r"],
+    }[command]
+    # argparse keeps the last value of a repeated flag
+    assert run([command, *base, *flags]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not (tmp_path / "y.csv").exists() and not (tmp_path / "r").exists()

@@ -15,7 +15,7 @@ from qobt.gramians import (
     solve_proper_lyap,
 )
 from qobt.model import DescriptorSystem, OutputSpec
-from qobt.spectral import separate
+from qobt.spectral import nilpotent_powers, separate
 
 
 def test_illustrative_blocks(illustrative):
@@ -69,6 +69,25 @@ def test_stein_sum_oracle():
 
     X_o = sum(eval_FN(truth, k) @ rhs @ eval_FN(truth, k).T for k in range(truth.nu))
     assert rel_err(X, X_o, 1e-12) <= 1e-10
+
+
+def test_nilpotent_powers_exact_chain_stops_at_nu():
+    N = np.diag([0.7, 1.3, 0.9], k=1)  # one Jordan chain of index 4
+    powers = nilpotent_powers(N, np.eye(4), nu=4)
+    assert len(powers) == 4
+    for k, Nk in enumerate(powers):
+        np.testing.assert_allclose(Nk, np.linalg.matrix_power(N, k), rtol=1e-15, atol=0)
+
+
+def test_nilpotent_powers_runs_past_nu_on_junk():
+    # a 1e-9 diagonal keeps N^nu nonzero: the list continues until the
+    # terms vanish, and the Stein sum then solves X - N X N^T = G
+    N = np.diag([0.7, 1.3, 0.9], k=1) + 1e-9 * np.eye(4)
+    G = np.diag([1.0, 2.0, 3.0, 4.0])
+    powers = nilpotent_powers(N, np.eye(4), nu=4)
+    assert len(powers) > 4
+    X = sum(Nk @ G @ Nk.T for Nk in powers)
+    assert np.linalg.norm(X - N @ X @ N.T - G) <= 1e-13 * np.linalg.norm(G)
 
 
 def test_unstable_proper_part_rejected():

@@ -40,8 +40,7 @@ def test_illustrative_reduction(illustrative):
     sys, wcf, grams = illustrative
     rom = balance_and_truncate(sys, wcf, grams, tol_sigma_rel=1e-8)
     assert (rom.r_p, rom.r_i, rom.r) == (1, 2, 3)
-    assert rom.structure_cleaned
-    # exact block structure after cleanup
+    # exact block structure of the re-decoupled pencil
     E, A = rom.system.E, rom.system.A
     assert np.array_equal(E[:1, :1], np.eye(1))
     assert np.array_equal(E[:1, 1:], np.zeros((1, 2)))
@@ -79,8 +78,8 @@ def test_keep_everything_matches_fom(illustrative):
     assert rom.r_p == 1  # minimal realization order of the proper part
     sig = qobt.parse_signal("0.2*exp(-t)")
     grid = np.linspace(0.0, 10.0, 501)
-    full = qobt.simulate(sys, wcf, sig, grid, method="expm")
-    red = qobt.simulate(rom.system, rom.to_decomposition(), sig, grid, method="expm")
+    full = qobt.simulate(sys, wcf, sig, grid)
+    red = qobt.simulate(rom.system, rom.to_decomposition(), sig, grid)
     err = qobt.output_error(full, red)
     assert err.linf <= 1e-10 * np.abs(full.y).max()
 
@@ -168,8 +167,9 @@ def test_reduced_roundtrip(tmp_path, illustrative):
 
 def test_selection_requires_criterion(illustrative):
     sys, wcf, grams = illustrative
-    with pytest.raises(ValueError):
-        balance_and_truncate(sys, wcf, grams, tol_sigma_rel=None, order=None)
+    for tol, order in ((None, None), (1e-8, -1), (float("nan"), None), (-1e-8, None)):
+        with pytest.raises(ValueError):
+            balance_and_truncate(sys, wcf, grams, tol_sigma_rel=tol, order=order)
 
 
 def test_load_reduced_rejects_plain_system(tmp_path):
@@ -192,8 +192,8 @@ def test_linear_only_reduction_sound(tmp_path):
     rom = balance_and_truncate(lin, wcf, grams, tol_sigma_rel=1e-10)
     sig = qobt.parse_signal("sin(t)*exp(-t/2)")
     grid = np.linspace(0.0, 15.0, 1501)
-    full = qobt.simulate(lin, wcf, sig, grid, method="expm")
-    red = qobt.simulate(rom.system, rom.to_decomposition(), sig, grid, method="expm")
+    full = qobt.simulate(lin, wcf, sig, grid)
+    red = qobt.simulate(rom.system, rom.to_decomposition(), sig, grid)
     err = qobt.output_error(full, red)
     rep = qobt.error_bound(lin, wcf, rom, sig, 15.0, grams=grams)
     assert err.linf <= rep.bound_total + 1e-12

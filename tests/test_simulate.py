@@ -75,10 +75,8 @@ def test_illustrative_closed_form(illustrative):
     sys, wcf, _ = illustrative
     sig = parse_signal("0.2*exp(-t)")
     grid = np.linspace(0.0, 10.0, 1001)
-    ref = illustrative_output(grid)
-    for method in ("expm", "rk4"):
-        traj = simulate(sys, wcf, sig, grid, method=method)
-        assert np.abs(traj.y[:, 0] - ref).max() <= 1e-8
+    traj = simulate(sys, wcf, sig, grid)
+    assert np.abs(traj.y[:, 0] - illustrative_output(grid)).max() <= 1e-14
 
 
 def test_zero_input_zero_output(illustrative):
@@ -88,26 +86,13 @@ def test_zero_input_zero_output(illustrative):
     assert np.array_equal(traj.y, np.zeros_like(traj.y))
 
 
-def test_rk4_convergence_order(illustrative):
-    sys, wcf, _ = illustrative
-    sig = parse_signal("0.2*exp(-t)")
-    grid = np.linspace(0.0, 5.0, 51)
-    ref = illustrative_output(grid)
-    errors = []
-    for h in (0.1, 0.05, 0.025):
-        traj = simulate(sys, wcf, sig, grid, method="rk4", step=h)
-        errors.append(np.abs(traj.y[:, 0] - ref).max())
-    orders = [np.log2(errors[i] / errors[i + 1]) for i in range(2)]
-    assert min(orders) >= 3.5  # classical one-step method of order 4
-
-
 def test_dae_residual_on_grid():
     # index-3 chain: E x' - A x - B u -> 0 along the grid (x' by differences)
     sys = qobt.gen_msd(5)
     wcf = separate(sys)
     sig = parse_signal("sin(2*t)^2*exp(-t/2)")
     grid = np.linspace(0.0, 10.0, 2001)
-    traj = simulate(sys, wcf, sig, grid, method="expm", store_states=True)
+    traj = simulate(sys, wcf, sig, grid, store_states=True)
     x = traj.x
     h = grid[1] - grid[0]
     xdot = (x[:, 2:] - x[:, :-2]) / (2 * h)
@@ -123,7 +108,7 @@ def test_superposition_against_kernel_convolution():
     sys, truth = qobt.gen_random_wcf(3, 2, 2, seed=21)
     sig = parse_signal("sin(t)*exp(-t/2)")
     grid = np.linspace(0.0, 4.0, 9)
-    traj = simulate(sys, truth, sig, grid, method="expm", store_states=True)
+    traj = simulate(sys, truth, sig, grid, store_states=True)
     from scipy.integrate import quad_vec
 
     for i in (3, 8):
@@ -193,12 +178,6 @@ def test_signal_norms_sin2t_squared():
     sig = parse_signal("sin(2*t)^2*exp(-t/2)")
     norms = signal_norms(sig, horizon=30.0, nu=3)
     assert norms.l2**2 == pytest.approx(384.0 / 1105.0, abs=1e-10)
-
-
-def test_simulate_rejects_bad_method(illustrative):
-    sys, wcf, _ = illustrative
-    with pytest.raises(ValueError):
-        simulate(sys, wcf, parse_signal("exp(-t)"), np.linspace(0, 1, 11), method="euler")
 
 
 def test_simulate_channel_count_mismatch(illustrative):
